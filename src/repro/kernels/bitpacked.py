@@ -40,13 +40,15 @@ if hasattr(np, "bitwise_count"):
 
         The word axis is short (one word per 64 cells), so folding it
         with explicit adds beats ``.sum(axis=-1)``'s short-axis
-        reduction by a wide margin on these buffers.
+        reduction by a wide margin on these buffers.  The per-word
+        counts come back as ``uint8``; the total is widened before the
+        first add, since a row of 256+ cells would wrap mod 256.
         """
         counts = np.bitwise_count(words)
-        total = counts[..., 0].copy()
+        total = counts[..., 0].astype(np.intp)
         for word in range(1, counts.shape[-1]):
             total += counts[..., word]
-        return total.astype(np.intp)
+        return total
 else:  # numpy < 2.0: byte-LUT fallback, same exact integers.
     _POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)],
                           dtype=np.uint8)

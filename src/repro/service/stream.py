@@ -1,4 +1,4 @@
-"""Long-running streaming read-mapping service.
+"""Long-running streaming read-mapping service, and the one session core.
 
 Every pre-existing execution path is one-shot: the caller hands
 :meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` (or the
@@ -26,6 +26,13 @@ long-running entry point:
   :meth:`close` drains and ends the lifecycle (the service is also a
   context manager).
 
+The session itself — read validation, the coalescing buffer, key
+assignment, the report fold and the statistics — is
+:class:`SessionCore`, which this service and every
+:class:`~repro.service.frontend.MappingSession` share.  The service is
+the core with the *inline* dispatch policy: a full micro-batch runs
+right away, on the caller's thread.
+
 **Determinism contract.**  Read ``i`` of the stream (0-based
 submission order) is keyed as global read ``i``, so a streamed session
 is **bit-identical** to one ``run_batched`` (or one sharded ``run``)
@@ -38,6 +45,7 @@ it at soak scale while demonstrating the flat-memory ledger.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -46,15 +54,17 @@ import numpy as np
 
 from repro.arch.autotune import plan_microbatch
 from repro.arch.scheduler import bank_row_ranges
-from repro.cam.array import CamArray, StoredReference, as_segments_matrix
+from repro.cam.array import StoredReference
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import (
     MappingReport,
     ReadMapping,
     ReadMappingPipeline,
     ShardedReadMappingPipeline,
+    encode_shard_references,
     resolve_shard_plan,
 )
+from repro.cost.events import ReferenceLoad
 from repro.cost.ledger import CostLedger
 from repro.cost.views import (
     SearchStats,
@@ -71,10 +81,12 @@ from repro.refstore.format import slice_stored_reference
 __all__ = [
     "DEFAULT_SERVICE_COMPACTION",
     "ServiceStats",
+    "SessionCore",
     "StreamingMappingService",
-    "engine_ledgers",
-    "engine_observability",
-    "fold_ledger_observability",
+    "build_pipeline",
+    "check_engine",
+    "record_reference_loads",
+    "seal_reference",
     "validate_service_knobs",
 ]
 
@@ -86,40 +98,98 @@ _ENGINES = ("batched", "sharded")
 DEFAULT_SERVICE_COMPACTION = 64
 
 
-def engine_ledgers(engine: str, pipeline) -> "tuple[CostLedger, ...]":
-    """Every cost ledger an engine owns, in deterministic order
-    (system traffic first for the sharded engine, then arrays)."""
+def check_engine(engine: str, shard_engine: "str | None") -> None:
+    """Reject an unknown service engine, and a ``shard_engine`` on the
+    batched engine (which has no shard fan-out), with
+    :class:`~repro.errors.ServiceError`."""
+    if engine not in _ENGINES:
+        raise ServiceError(
+            f"engine must be one of {_ENGINES}, got {engine!r}"
+        )
+    if shard_engine is not None and engine != "sharded":
+        raise ServiceError(
+            f"shard_engine={shard_engine!r} applies to the sharded "
+            f"engine only (engine={engine!r})"
+        )
+
+
+def seal_reference(engine: str,
+                   reference: "np.ndarray | StoredReference",
+                   n_shards: "int | None" = None,
+                   chunk_size: "int | None" = None,
+                   ) -> "tuple[tuple[StoredReference, ...], int | None]":
+    """The sealed reference(s) an engine searches, and the resolved
+    sharded chunk size (``None`` on the batched engine).
+
+    A segment matrix is encoded exactly once — one
+    :meth:`StoredReference.encode`, or one per shard through
+    :func:`~repro.core.pipeline.encode_shard_references`.  A sealed
+    reference is borrowed whole, or sliced zero-copy into the bank
+    ranges ``encode_shard_references`` would use, so both sources
+    resolve to the same shards.
+    """
     if engine == "batched":
-        return (pipeline.ledger,)
-    return (pipeline.ledger,
-            *(m.array.ledger for m in pipeline.matchers))
+        if not isinstance(reference, StoredReference):
+            reference = StoredReference.encode(reference)
+        return (reference,), None
+    if not isinstance(reference, StoredReference):
+        return encode_shard_references(reference, n_shards=n_shards,
+                                       chunk_size=chunk_size)
+    n_rows = reference.n_segments
+    n_shards, chunk_size = resolve_shard_plan(n_rows, reference.cols,
+                                              n_shards, chunk_size)
+    return (slice_stored_reference(reference,
+                                   bank_row_ranges(n_rows, n_shards)),
+            chunk_size)
 
 
-def engine_observability(
-        engine: str, pipeline,
-        ) -> "tuple[dict[str, int], int, int, int, int]":
-    """The engine's ledger-observability fold, engine-appropriate.
+def record_reference_loads(ledger: CostLedger,
+                           shards: "tuple[StoredReference, ...]") -> None:
+    """Charge writing the reference into the arrays: one
+    :class:`~repro.cost.events.ReferenceLoad` per shard, recorded once
+    by the owner of the arrays' reference — a standalone service in
+    its pipeline ledger, a frontend in its own ledger (never per
+    session)."""
+    for shard in shards:
+        ledger.record(ReferenceLoad(n_segments=shard.n_segments,
+                                    n_cells=shard.cols))
 
-    Thread-engine and batched pipelines fold their live ledgers
-    (:func:`~repro.cost.views.fold_ledger_observability`); a sharded
-    pipeline on the process engine reads its accumulated worker-side
-    ledger summaries instead (the per-task events were folded at the
-    process boundary and never cross it).
+
+def build_pipeline(engine: str,
+                   shards: "tuple[StoredReference, ...]",
+                   error_model: ErrorModel,
+                   config: "MatcherConfig | None",
+                   *,
+                   domain: str,
+                   noisy: bool,
+                   seed: int,
+                   compaction: "int | None",
+                   backend: "str | None",
+                   chunk_size: "int | None" = None,
+                   max_workers: "int | None" = None,
+                   shard_engine: "str | None" = None,
+                   executor=None,
+                   process_engine=None):
+    """One session's engine over sealed reference shard(s).
+
+    Only per-session state is built here — arrays with their own seed
+    (the sharded engine derives ``seed + s`` per shard), matchers and
+    compacting ledgers; every array borrows its shard.  ``executor`` /
+    ``process_engine`` inject a shared shard fan-out (sharded engine
+    only; see :class:`~repro.core.pipeline.ShardedReadMappingPipeline`).
     """
-    if engine == "sharded" and pipeline.engine == "process":
-        return pipeline.ledger_observability()
-    return fold_ledger_observability(engine_ledgers(engine, pipeline))
-
-
-def engine_merged_stats(engine: str, pipeline) -> SearchStats:
-    """Whole-engine search counters (exact under compaction).
-
-    Delegates to the engine's own fold so there is exactly one
-    definition of the whole-system aggregation per engine.
-    """
-    if engine == "sharded":
-        return pipeline.merged_stats()
-    return search_stats(pipeline.ledger)
+    if engine == "batched":
+        return ReadMappingPipeline(AsmCapMatcher.over_stored(
+            shards[0], error_model, config, domain=domain, noisy=noisy,
+            seed=seed, ledger_compaction=compaction, backend=backend,
+        ))
+    return ShardedReadMappingPipeline(
+        shards, error_model, n_shards=None, config=config, domain=domain,
+        noisy=noisy, seed=seed, max_workers=max_workers,
+        chunk_size=chunk_size, ledger_compaction=compaction,
+        backend=backend, engine=shard_engine, executor=executor,
+        process_engine=process_engine,
+    )
 
 
 @dataclass(frozen=True)
@@ -130,7 +200,8 @@ class ServiceStats:
     ----------
     reads_submitted / reads_dispatched / reads_in_flight:
         Stream accounting: everything accepted, everything that went
-        through an engine dispatch, and the coalescing-buffer backlog.
+        through an engine dispatch, and the difference (reads buffered
+        or queued, not yet folded into the report).
     reads_mapped:
         Dispatched reads with at least one matched row.
     batches_dispatched / micro_batch:
@@ -175,7 +246,283 @@ class ServiceStats:
     compactions: int
 
 
-class StreamingMappingService:
+class SessionCore:
+    """The one implementation of a mapping session over a built engine.
+
+    Owns read validation, the coalescing buffer, the determinism key
+    of every micro-batch (its first read's 0-based submission index,
+    fixed when the batch leaves the buffer), the serial FIFO fold of
+    batch reports into the aggregate :class:`MappingReport`, the
+    last-batch hand-off, the counters and the :class:`ServiceStats`
+    builder.  Subclasses supply only a dispatch policy:
+
+    * ``_hand_off_locked(wait)`` moves the buffered reads on (run them
+      now, or queue them) and returns how many it moved; with
+      ``wait=True`` it also waits until they are folded;
+    * ``_on_full_locked()`` is what :meth:`submit` does when the
+      buffer reaches :attr:`micro_batch`;
+    * ``_check_open_locked()`` raises once the session is closed;
+    * ``close()`` drains and ends the lifecycle.
+
+    Every ``*_locked`` method runs with ``_lock`` held.  Engine runs
+    and ledger reads serialise on ``_dispatch_mutex``, which is always
+    taken *before* ``_lock``.  Without a ``lock`` (the inline policy,
+    which runs the engine inside the submit/flush critical section),
+    one reentrant lock plays both roles.
+    """
+
+    def __init__(self, pipeline, engine: str, threshold: int,
+                 micro_batch: int, retain_mappings: bool, cols: int,
+                 lock=None):
+        self._pipeline = pipeline
+        self._engine_kind = engine
+        self._threshold = int(threshold)
+        self._micro_batch = int(micro_batch)
+        self._retain_mappings = bool(retain_mappings)
+        self._cols = int(cols)
+        self._dispatch_mutex = threading.RLock()
+        self._lock = self._dispatch_mutex if lock is None else lock
+        # Everything below is guarded by _lock.
+        self._buffer: "list[np.ndarray]" = []
+        self._report = MappingReport()
+        self._last_batch: "tuple[ReadMapping, ...]" = ()
+        self._n_submitted = 0
+        self._n_dispatched = 0
+        self._n_batches = 0
+        self._closed = False
+        self._started_at: "float | None" = None
+
+    # -- configuration ------------------------------------------------------
+
+    @property
+    def engine(self) -> str:
+        """``"batched"`` or ``"sharded"``."""
+        return self._engine_kind
+
+    @property
+    def threshold(self) -> int:
+        return self._threshold
+
+    @property
+    def micro_batch(self) -> int:
+        """Reads coalesced per engine dispatch."""
+        return self._micro_batch
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
+    def pipeline(self):
+        """The underlying engine (a :class:`ReadMappingPipeline` or a
+        :class:`ShardedReadMappingPipeline`)."""
+        return self._pipeline
+
+    @property
+    def report(self) -> MappingReport:
+        """The aggregate report over every *dispatched* read so far.
+
+        Buffered or queued reads are not in it yet; :meth:`drain` for
+        a complete view.  A defensive
+        :meth:`~repro.core.pipeline.MappingReport.snapshot` — callers
+        may mutate it without corrupting the live aggregates or
+        breaking the streamed/one-shot bit-identity contract.
+        :meth:`drain` and ``close`` return the same kind of snapshot.
+        """
+        with self._lock:
+            return self._report.snapshot()
+
+    @property
+    def batches_dispatched(self) -> int:
+        """Micro-batches the engine has completed so far."""
+        with self._lock:
+            return self._n_batches
+
+    @property
+    def last_batch_mappings(self) -> "tuple[ReadMapping, ...]":
+        """The most recently completed micro-batch's per-read results.
+
+        Replaced wholesale on every dispatch (one micro-batch of
+        memory, independent of ``retain_mappings``) — the hand-off
+        surface :func:`stream_mapped` drains, bounded even on endless
+        feeds.
+        """
+        with self._lock:
+            return self._last_batch
+
+    # -- feed ---------------------------------------------------------------
+
+    def submit(self, read: "np.ndarray | ReadRecord") -> None:
+        """Accept one read into the coalescing buffer.
+
+        Whenever the buffer fills, the micro-batch is dispatched
+        (standalone service) or queued (frontend session).  Raises
+        :class:`~repro.errors.CamConfigError` for a read that does not
+        fit the reference width and
+        :class:`~repro.errors.ServiceError` once the session (or its
+        frontend) is closed.  On a frontend session a full backlog
+        blocks here (``backpressure="block"``) or raises
+        :class:`~repro.errors.ServiceError` (``backpressure="error"``);
+        a rejected submit is **all-or-nothing** — the read was *not*
+        accepted, so the caller retries the same read after backing
+        off (no risk of duplicating it).
+        """
+        codes = np.asarray(
+            read.read.codes if isinstance(read, ReadRecord) else read,
+            dtype=np.uint8,
+        )
+        if codes.shape != (self._cols,):
+            raise CamConfigError(
+                f"read shape {codes.shape} does not fit reference width "
+                f"{self._cols}"
+            )
+        with self._lock:
+            self._check_open_locked()
+            if self._started_at is None:
+                self._started_at = time.perf_counter()
+            self._buffer.append(codes)
+            self._n_submitted += 1
+            if len(self._buffer) >= self._micro_batch:
+                self._on_full_locked()
+
+    def submit_many(
+            self,
+            reads: "Iterable[np.ndarray] | Iterable[ReadRecord]") -> int:
+        """Consume any read iterable, handing batches on as they fill.
+
+        The iterable is read lazily — an endless generator works; only
+        one micro-batch of reads is ever coalesced.  Returns how many
+        reads were accepted.
+        """
+        n = 0
+        for read in reads:
+            self.submit(read)
+            n += 1
+        return n
+
+    def flush(self) -> int:
+        """Hand the buffered reads on now, full micro-batch or not.
+
+        Returns how many reads were handed on (0 when the buffer was
+        empty — flushing twice is a no-op, not an error).  The
+        standalone service runs them before returning; a frontend
+        session only queues them (:meth:`drain` waits).
+        """
+        with self._lock:
+            self._check_open_locked()
+            return self._hand_off_locked()
+
+    def drain(self) -> MappingReport:
+        """Flush, wait until every accepted read is folded, and return
+        the aggregate report (a defensive snapshot).
+
+        The session stays open — a long-running caller drains at
+        checkpoint boundaries and keeps feeding.
+        """
+        with self._lock:
+            self._check_open_locked()
+            self._hand_off_locked(wait=True)
+            return self._report.snapshot()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # -- observability ------------------------------------------------------
+
+    def ledgers(self) -> "tuple[CostLedger, ...]":
+        """Every cost ledger the session owns (deterministic order:
+        system traffic first for the sharded engine, then arrays)."""
+        if self._engine_kind == "batched":
+            return (self._pipeline.ledger,)
+        return (self._pipeline.ledger,
+                *(m.array.ledger for m in self._pipeline.matchers))
+
+    def merged_stats(self) -> SearchStats:
+        """Whole-session search counters (exact under compaction).
+
+        Delegates to the engine's own fold so there is exactly one
+        definition of the whole-system aggregation per engine.
+        """
+        with self._dispatch_mutex:
+            if self._engine_kind == "sharded":
+                return self._pipeline.merged_stats()
+            return search_stats(self._pipeline.ledger)
+
+    def stats(self) -> ServiceStats:
+        """Snapshot the session's observable state (see
+        :class:`ServiceStats`)."""
+        # The dispatch mutex freezes the ledgers, then _lock freezes
+        # the counters — the order every dispatch takes them in.
+        with self._dispatch_mutex:
+            stats = self.merged_stats()
+            if (self._engine_kind == "sharded"
+                    and self._pipeline.engine == "process"):
+                # Worker-side ledger summaries: the per-task events
+                # were folded at the process boundary.
+                observed = self._pipeline.ledger_observability()
+            else:
+                observed = fold_ledger_observability(self.ledgers())
+            (pass_counts, events_live, events_folded, population,
+             compactions) = observed
+            with self._lock:
+                wall = (0.0 if self._started_at is None
+                        else time.perf_counter() - self._started_at)
+                return ServiceStats(
+                    reads_submitted=self._n_submitted,
+                    reads_dispatched=self._n_dispatched,
+                    reads_in_flight=self._n_submitted - self._n_dispatched,
+                    reads_mapped=self._report.n_mapped,
+                    batches_dispatched=self._n_batches,
+                    micro_batch=self._micro_batch,
+                    n_searches=stats.n_searches,
+                    pass_counts=pass_counts,
+                    total_energy_joules=stats.total_energy_joules,
+                    total_latency_ns=stats.total_latency_ns,
+                    wall_seconds=wall,
+                    reads_per_second=(self._n_dispatched / wall
+                                      if wall > 0.0 else 0.0),
+                    ledger_events_live=events_live,
+                    ledger_events_folded=events_folded,
+                    ledger_population_elements=population,
+                    compactions=compactions,
+                )
+
+    # -- internals ----------------------------------------------------------
+
+    def _take_locked(self) -> "tuple[int, list[np.ndarray]]":
+        """Detach the buffered reads with their determinism key base:
+        the first read's submission index, fixed here — before any
+        queueing or scheduling could reorder the batch."""
+        batch, self._buffer = self._buffer, []
+        return self._n_submitted - len(batch), batch
+
+    def _run(self, first: int, codes: "list[np.ndarray]") -> None:
+        """Run one micro-batch through the engine and fold its report.
+
+        The caller holds the dispatch mutex.  The fold repeats, per
+        read and in order, the ``add()`` sequence a one-shot run
+        performs, so the aggregate totals are bit-identical to it.
+        """
+        if self._engine_kind == "batched":
+            report = self._pipeline.run_batched(
+                codes, self._threshold, first_read_index=first)
+        else:
+            report = self._pipeline.run(
+                codes, self._threshold, first_read_index=first)
+        with self._lock:
+            for mapping in report.mappings:
+                self._report.add(mapping)
+            if not self._retain_mappings:
+                self._report.mappings.clear()
+            self._last_batch = tuple(report.mappings)
+            self._n_dispatched += len(codes)
+            self._n_batches += 1
+
+
+class StreamingMappingService(SessionCore):
     """Accept reads incrementally; map them in autotuned micro-batches.
 
     Parameters
@@ -262,121 +609,34 @@ class StreamingMappingService:
                  shard_engine: "str | None" = None,
                  retain_mappings: bool = True,
                  catalog: "object | None" = None):
-        if engine not in _ENGINES:
-            raise ServiceError(
-                f"engine must be one of {_ENGINES}, got {engine!r}"
-            )
+        check_engine(engine, shard_engine)
         validate_service_knobs(micro_batch, compaction,
                                max_workers=max_workers, backend=backend,
                                engine=shard_engine)
         validate_reference_source(segments, catalog=catalog)
-        if shard_engine is not None and engine != "sharded":
-            raise ServiceError(
-                f"shard_engine={shard_engine!r} applies to the sharded "
-                f"engine only (engine={engine!r})"
-            )
-        self._threshold = int(threshold)
-        self._engine_kind = engine
-        self._retain_mappings = bool(retain_mappings)
-        self._lease = None
-        stored: "StoredReference | None" = None
-        if catalog is not None:
-            self._lease = catalog.borrow(segments)
-            stored = self._lease.reference
-        elif isinstance(segments, StoredReference):
-            stored = segments
+        self._lease = None if catalog is None else catalog.borrow(segments)
         try:
-            if stored is not None:
-                # Pre-encoded reference (catalog lease or caller-owned
-                # stored reference): zero encode passes here — the
-                # batched engine borrows it whole, the sharded engine
-                # slices zero-copy shard views at the same bank ranges
-                # encode_shard_references would use.
-                self._cols = stored.cols
-                n_rows = stored.n_segments
-                if engine == "batched":
-                    self._pipeline = ReadMappingPipeline(
-                        AsmCapMatcher.over_stored(
-                            stored, error_model, config, domain=domain,
-                            noisy=noisy, seed=seed,
-                            ledger_compaction=compaction,
-                            backend=backend)
-                    )
-                    n_shards_effective = 1
-                else:
-                    n_shards_r, chunk_size = resolve_shard_plan(
-                        n_rows, self._cols, n_shards, chunk_size
-                    )
-                    shards = slice_stored_reference(
-                        stored, bank_row_ranges(n_rows, n_shards_r)
-                    )
-                    self._pipeline = ShardedReadMappingPipeline(
-                        shards, error_model, n_shards=None,
-                        config=config, domain=domain, noisy=noisy,
-                        seed=seed, max_workers=max_workers,
-                        chunk_size=chunk_size,
-                        ledger_compaction=compaction, backend=backend,
-                        engine=shard_engine,
-                    )
-                    n_shards_effective = self._pipeline.n_shards
-            else:
-                segments = as_segments_matrix(segments)
-                self._cols = int(segments.shape[1])
-                n_rows = int(segments.shape[0])
-                if engine == "batched":
-                    array = CamArray(rows=segments.shape[0],
-                                     cols=self._cols,
-                                     domain=domain, noisy=noisy,
-                                     seed=seed,
-                                     ledger_compaction=compaction,
-                                     backend=backend)
-                    array.store(segments)
-                    self._pipeline = ReadMappingPipeline(
-                        AsmCapMatcher(array, error_model, config,
-                                      seed=seed)
-                    )
-                    n_shards_effective = 1
-                else:
-                    # n_shards=None flows straight through — the sharded
-                    # pipeline owns the plan_shards autotune.
-                    self._pipeline = ShardedReadMappingPipeline(
-                        segments, error_model, n_shards=n_shards,
-                        config=config, domain=domain, noisy=noisy,
-                        seed=seed, max_workers=max_workers,
-                        chunk_size=chunk_size,
-                        ledger_compaction=compaction, backend=backend,
-                        engine=shard_engine,
-                    )
-                    n_shards_effective = self._pipeline.n_shards
+            shards, chunk_size = seal_reference(
+                engine, segments if self._lease is None
+                else self._lease.reference, n_shards, chunk_size)
+            pipeline = build_pipeline(
+                engine, shards, error_model, config, domain=domain,
+                noisy=noisy, seed=seed, compaction=compaction,
+                backend=backend, chunk_size=chunk_size,
+                max_workers=max_workers, shard_engine=shard_engine,
+            )
+            record_reference_loads(pipeline.ledger, shards)
         except BaseException:
             if self._lease is not None:
                 self._lease.close()
             raise
+        cols = shards[0].cols
         if micro_batch is None:
-            micro_batch = plan_microbatch(n_rows, self._cols,
-                                          n_shards=n_shards_effective)
-            validate_service_knobs(micro_batch=micro_batch)
-        self._micro_batch = int(micro_batch)
-        self._buffer: list[np.ndarray] = []
-        self._report = MappingReport()
-        self._last_batch: tuple[ReadMapping, ...] = ()
-        self._n_submitted = 0
-        self._n_dispatched = 0
-        self._n_batches = 0
-        self._closed = False
-        self._started_at: "float | None" = None
-
-    # -- configuration ------------------------------------------------------
-
-    @property
-    def micro_batch(self) -> int:
-        """Reads coalesced per engine dispatch."""
-        return self._micro_batch
-
-    @property
-    def engine(self) -> str:
-        """``"batched"`` or ``"sharded"``."""
-        return self._engine_kind
+            micro_batch = plan_microbatch(
+                sum(shard.n_segments for shard in shards), cols,
+                n_shards=len(shards))
+        super().__init__(pipeline, engine, threshold, micro_batch,
+                         retain_mappings, cols)
 
     @property
     def shard_engine(self) -> "str | None":
@@ -392,114 +652,10 @@ class StreamingMappingService:
         """Kernel backend name the engine's arrays search with."""
         return self._pipeline.backend
 
-    @property
-    def threshold(self) -> int:
-        return self._threshold
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pipeline(self):
-        """The underlying engine (a :class:`ReadMappingPipeline` or a
-        :class:`ShardedReadMappingPipeline`)."""
-        return self._pipeline
-
-    @property
-    def report(self) -> MappingReport:
-        """The aggregate report over every *dispatched* read so far.
-
-        Buffered (in-flight) reads are not in it yet; :meth:`drain`
-        for a complete view.
-
-        A defensive :meth:`~repro.core.pipeline.MappingReport.snapshot`
-        — callers may mutate it (``report.mappings.clear()``, …)
-        without corrupting the service's live aggregates or breaking
-        the streamed/one-shot bit-identity contract.  :meth:`drain`
-        and :meth:`close` return the same kind of snapshot.
-        """
-        return self._report.snapshot()
-
-    @property
-    def batches_dispatched(self) -> int:
-        """Micro-batches the engine has run so far."""
-        return self._n_batches
-
-    @property
-    def last_batch_mappings(self) -> "tuple[ReadMapping, ...]":
-        """The most recent micro-batch's per-read results.
-
-        Replaced wholesale on every dispatch (one micro-batch of
-        memory, independent of ``retain_mappings``) — the hand-off
-        surface :func:`stream_mapped` drains, bounded even on endless
-        feeds.
-        """
-        return self._last_batch
-
-    # -- feed ---------------------------------------------------------------
-
-    def submit(self, read: "np.ndarray | ReadRecord") -> None:
-        """Accept one read into the coalescing buffer.
-
-        Dispatches a micro-batch through the engine whenever the
-        buffer fills; raises :class:`~repro.errors.ServiceError` once
-        the service is closed.
-        """
-        self._check_open()
-        codes = np.asarray(
-            read.read.codes if isinstance(read, ReadRecord) else read,
-            dtype=np.uint8,
-        )
-        if codes.shape != (self._cols,):
-            raise CamConfigError(
-                f"read shape {codes.shape} does not fit reference width "
-                f"{self._cols}"
-            )
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
-        self._buffer.append(codes)
-        self._n_submitted += 1
-        if len(self._buffer) >= self._micro_batch:
-            self._dispatch()
-
-    def submit_many(
-            self,
-            reads: "Iterable[np.ndarray] | Iterable[ReadRecord]") -> int:
-        """Consume any read iterable, dispatching as batches fill.
-
-        The iterable is read lazily — an endless generator works; only
-        one micro-batch of reads is ever buffered.  Returns how many
-        reads were accepted.
-        """
-        n = 0
-        for read in reads:
-            self.submit(read)
-            n += 1
-        return n
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def flush(self) -> int:
-        """Dispatch the buffered reads now, full micro-batch or not.
-
-        Returns how many reads were dispatched.  A timeout-driven
-        caller uses this to bound result latency when the feed stalls
-        below the micro-batch size.
-        """
-        self._check_open()
-        return self._dispatch()
-
-    def drain(self) -> MappingReport:
-        """Flush everything in flight and return the aggregate report.
-
-        The service stays open — a long-running caller drains at
-        checkpoint boundaries and keeps feeding.  The returned report
-        is a defensive snapshot (see :attr:`report`).
-        """
-        self._check_open()
-        self._dispatch()
-        return self._report.snapshot()
+    # Bound on this class, not only inherited, so a profiler can patch
+    # the standalone service's entry points apart from a session's.
+    submit_many = SessionCore.submit_many
+    flush = SessionCore.flush
 
     def close(self) -> MappingReport:
         """Drain, end the lifecycle, and return the final report.
@@ -509,103 +665,40 @@ class StreamingMappingService:
         defensive snapshot (see :attr:`report`); each call returns a
         fresh one.
         """
-        if not self._closed:
-            self._dispatch()
-            if self._engine_kind == "sharded":
-                # Release the sharded engine's persistent fan-out pool.
-                self._pipeline.close()
-            if self._lease is not None:
-                # Unpin the catalog reference only after the engines
-                # that searched its arrays are gone.
-                self._lease.close()
-            self._closed = True
-        return self._report.snapshot()
+        with self._lock:
+            if not self._closed:
+                self._hand_off_locked()
+                if self._engine_kind == "sharded":
+                    # Release the sharded engine's persistent fan-out.
+                    self._pipeline.close()
+                if self._lease is not None:
+                    # Unpin the catalog reference only after the
+                    # engine that searched its arrays is gone.
+                    self._lease.close()
+                self._closed = True
+            return self._report.snapshot()
 
-    def __enter__(self) -> "StreamingMappingService":
-        return self
+    # -- inline dispatch policy ---------------------------------------------
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- observability ------------------------------------------------------
-
-    def ledgers(self) -> tuple[CostLedger, ...]:
-        """Every cost ledger the service owns (deterministic order:
-        system traffic first for the sharded engine, then arrays)."""
-        return engine_ledgers(self._engine_kind, self._pipeline)
-
-    def merged_stats(self) -> SearchStats:
-        """Whole-service search counters (exact under compaction).
-
-        Delegates to the engine's own fold so there is exactly one
-        definition of the whole-system aggregation per engine.
-        """
-        return engine_merged_stats(self._engine_kind, self._pipeline)
-
-    def stats(self) -> ServiceStats:
-        """Snapshot the service's observable state (see
-        :class:`ServiceStats`)."""
-        stats = self.merged_stats()
-        (pass_counts, events_live, events_folded, population,
-         compactions) = engine_observability(self._engine_kind,
-                                             self._pipeline)
-        wall = (0.0 if self._started_at is None
-                else time.perf_counter() - self._started_at)
-        return ServiceStats(
-            reads_submitted=self._n_submitted,
-            reads_dispatched=self._n_dispatched,
-            reads_in_flight=len(self._buffer),
-            reads_mapped=self._report.n_mapped,
-            batches_dispatched=self._n_batches,
-            micro_batch=self._micro_batch,
-            n_searches=stats.n_searches,
-            pass_counts=pass_counts,
-            total_energy_joules=stats.total_energy_joules,
-            total_latency_ns=stats.total_latency_ns,
-            wall_seconds=wall,
-            reads_per_second=(self._n_dispatched / wall if wall > 0.0
-                              else 0.0),
-            ledger_events_live=events_live,
-            ledger_events_folded=events_folded,
-            ledger_population_elements=population,
-            compactions=compactions,
-        )
-
-    # -- internals ----------------------------------------------------------
-
-    def _check_open(self) -> None:
+    def _check_open_locked(self) -> None:
         if self._closed:
             raise ServiceError("the streaming service has been closed")
 
-    def _dispatch(self) -> int:
-        """Run the buffered micro-batch through the engine."""
+    def _hand_off_locked(self, wait: bool = False) -> int:
+        """Run the buffered micro-batch through the engine, here, on
+        the caller's thread (so ``wait`` is always satisfied)."""
         if not self._buffer:
             return 0
-        # Chaos hook, before the buffer swap: a poisoned-read fault
+        # Chaos hook, before the buffer is taken: a poisoned-read fault
         # raising here leaves the reads coalesced, so a later drain
         # (e.g. the close() path) still dispatches them once.
         _fire_fault("service.stream.dispatch", service=self,
-                    first_read_index=self._n_dispatched)
-        batch = self._buffer
-        self._buffer = []
-        first = self._n_dispatched
-        if self._engine_kind == "batched":
-            report = self._pipeline.run_batched(
-                batch, self._threshold, first_read_index=first)
-        else:
-            report = self._pipeline.run(
-                batch, self._threshold, first_read_index=first)
-        # Fold the batch report into the aggregate with the same
-        # per-read add() sequence a one-shot run performs, so the
-        # aggregate totals are bit-identical to it.
-        for mapping in report.mappings:
-            self._report.add(mapping)
-        if not self._retain_mappings:
-            self._report.mappings.clear()
-        self._last_batch = tuple(report.mappings)
-        self._n_dispatched += len(batch)
-        self._n_batches += 1
+                    first_read_index=self._n_submitted - len(self._buffer))
+        first, batch = self._take_locked()
+        self._run(first, batch)
         return len(batch)
+
+    _on_full_locked = _hand_off_locked
 
 
 def stream_mapped(service: StreamingMappingService,

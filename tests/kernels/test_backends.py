@@ -156,7 +156,9 @@ class TestEncodeOnce:
 # Codes 0..3 are ACGT; 4..6 stand for N/ambiguity codes that force the
 # boolean fallback lane.
 _acgt_rows = st.integers(min_value=1, max_value=7)
-_cols = st.integers(min_value=1, max_value=70)
+# Past the paper's 256-cell rows: per-word popcounts are uint8, so any
+# narrow accumulator would wrap at 256.
+_cols = st.integers(min_value=1, max_value=512)
 
 
 @st.composite
@@ -239,10 +241,86 @@ class TestExactEqualityProperties:
                 assert got.shape == (0, 3)
 
 
+def _all_mismatch(n_rows: int, n_cols: int,
+                  seed: int = 0) -> "tuple[np.ndarray, np.ndarray]":
+    """Random rows whose row 0 is all A, and a query of all C: every
+    cell of row 0 (neighbours included) mismatches, so its ED* and HD
+    counts are both ``n_cols``."""
+    rng = np.random.default_rng(seed)
+    segments = rng.integers(0, 4, (n_rows, n_cols)).astype(np.uint8)
+    segments[0] = 0
+    return segments, np.ones((1, n_cols), dtype=np.uint8)
+
+
+class TestCountBoundaries:
+    """Integer-dtype boundaries at and around the paper's geometry."""
+
+    @pytest.mark.parametrize("n_cols", [255, 256, 257])
+    def test_all_mismatch_row_counts_every_cell(self, n_cols):
+        segments, query = _all_mismatch(4, n_cols)
+        encoded = encode_reference(segments)
+        for ed_star in (True, False):
+            expected = _reference_counts(segments, query, ed_star)
+            assert expected[0, 0] == n_cols
+            for name in available_backends():
+                got = get_backend(name).counts_batch(encoded, query,
+                                                     ed_star=ed_star)
+                assert np.array_equal(got, expected), (name, ed_star)
+
+    @pytest.mark.parametrize("mode", [MatchMode.ED_STAR, MatchMode.HAMMING])
+    def test_all_mismatch_row_never_matches(self, mode):
+        """Regression: the bitpacked lane summed popcounts in uint8,
+        so a 256-cell row mismatching everywhere counted 0 and matched
+        at any threshold."""
+        segments, query = _all_mismatch(4, 256)
+        results = {}
+        for name in available_backends():
+            array = CamArray(rows=4, cols=256, noisy=False, backend=name)
+            array.store(segments)
+            results[name] = array.search_batch(query, 8, mode=mode)
+            assert results[name].mismatch_counts[0, 0] == 256, name
+            assert not results[name].matches[0, 0], name
+        gemm = results["numpy-gemm"]
+        for name, result in results.items():
+            assert np.array_equal(result.mismatch_counts,
+                                  gemm.mismatch_counts), name
+            assert np.array_equal(result.matches, gemm.matches), name
+
+    def test_backends_agree_at_paper_geometry(self):
+        """A 256 x 256 reference and 256-base reads: every backend's
+        ED*, HD and dual counts are ``==`` the boolean reference."""
+        rng = np.random.default_rng(7)
+        segments = rng.integers(0, 4, (256, 256)).astype(np.uint8)
+        queries = np.concatenate([
+            rng.integers(0, 4, (6, 256)).astype(np.uint8),
+            segments[:1],                               # exact hit
+            (segments[1:2] + 1) % 4,                    # every cell off
+        ])
+        encoded = encode_reference(segments)
+        expected_ed = _reference_counts(segments, queries, True)
+        expected_hd = _reference_counts(segments, queries, False)
+        assert expected_hd[7, 1] == 256
+        for name in available_backends():
+            backend = get_backend(name)
+            ed, hd = backend.counts_batch_dual(encoded, queries)
+            assert np.array_equal(ed, expected_ed), name
+            assert np.array_equal(hd, expected_hd), name
+
+
 class TestCompositionProfiles:
+    def test_long_rows_count_past_255(self):
+        """A 300-base row of one letter profiles as 300, not 44."""
+        rows = np.full((2, 300), 2, dtype=np.uint8)
+        rows[1, :257] = 0
+        expected = np.stack([np.bincount(row, minlength=4)
+                             for row in rows]).astype(np.int32)
+        for name in available_backends():
+            got = get_backend(name).composition_profiles(rows, 4)
+            assert np.array_equal(got, expected), name
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=6),
-           st.integers(min_value=1, max_value=70),
+           st.integers(min_value=1, max_value=512),
            st.integers(0, 2**32 - 1))
     def test_backends_agree_with_bincount(self, max_code, n_cols, seed):
         rng = np.random.default_rng(seed)

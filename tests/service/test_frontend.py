@@ -14,6 +14,7 @@ the lifecycle edges (submit-after-close, flush idempotency) behave.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -160,6 +161,74 @@ class TestSessionBitIdentity:
                 compaction=compaction,
             )
             _assert_reports_identical(result, reference)
+
+    def test_stats_polled_under_stress_stay_consistent(self,
+                                                        small_dataset_a):
+        """More pool workers than cores, a short switch interval, and
+        an observer polling every session's stats() while client
+        threads feed them: no snapshot shows a read dispatched before
+        it was submitted or a counter going backwards, and every
+        session still equals its standalone twin."""
+        reads = _reads(small_dataset_a)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _frontend(small_dataset_a, engine="batched",
+                           pool_workers=4) as frontend:
+                sessions = [frontend.session(threshold=THRESHOLD, seed=k,
+                                             micro_batch=3)
+                            for k in range(3)]
+                fed = threading.Event()
+                errors = []
+
+                def feed(session):
+                    try:
+                        session.submit_many(reads)
+                        session.drain()
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                def observe():
+                    seen = [0] * len(sessions)
+                    try:
+                        while not fed.is_set():
+                            for k, session in enumerate(sessions):
+                                snap = session.stats()
+                                assert snap.reads_in_flight == (
+                                    snap.reads_submitted
+                                    - snap.reads_dispatched) >= 0
+                                assert snap.reads_dispatched >= seen[k]
+                                seen[k] = snap.reads_dispatched
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                feeders = [threading.Thread(target=feed, args=(session,))
+                           for session in sessions]
+                observer = threading.Thread(target=observe)
+                observer.start()
+                for thread in feeders:
+                    thread.start()
+                for thread in feeders:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                fed.set()
+                observer.join(timeout=60.0)
+                assert not observer.is_alive()
+                assert not errors
+                for session in sessions:
+                    snap = session.stats()
+                    assert snap.reads_dispatched == reads.shape[0]
+                    assert snap.batches_dispatched == -(-reads.shape[0] // 3)
+                results = [session.close() for session in sessions]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, result in enumerate(results):
+            _assert_reports_identical(
+                result,
+                _standalone(small_dataset_a, reads, engine="batched",
+                            seed=k, micro_batch=3, threshold=THRESHOLD,
+                            compaction=64),
+            )
 
     def test_single_thread_interleaved_sessions(self, small_dataset_a):
         """Interleaving submissions across sessions from one thread

@@ -28,7 +28,9 @@ Usage::
 
 Exit status is non-zero if any verdict is not ok or the replay pass
 diverges.  ``--json`` writes the full verdict records (the nightly
-``chaos-soak`` artifact).
+``chaos-soak`` artifact).  A schedule judged tolerated while none of
+its faults fired is tallied as **vacuous**, not tolerated: it passes,
+but it tested nothing.
 """
 
 from __future__ import annotations
@@ -134,6 +136,26 @@ def run_soak(schedules: int, seed: int, smoke: bool,
     return records, failures
 
 
+def verdict_counts(records: "list[dict[str, object]]") -> "dict[str, int]":
+    """Tally the records' verdicts for the summary.
+
+    A ``tolerated`` record with an empty ``fired`` list counts as
+    ``vacuous``: its results matched the baseline only because no
+    fault was ever injected.  It does not fail the soak.
+    """
+    counts = {"surfaced": 0, "tolerated": 0, "vacuous": 0,
+              "violations": 0}
+    for record in records:
+        verdict = record["verdict"]
+        if verdict == "violation":
+            counts["violations"] += 1
+        elif verdict == "tolerated" and not record["fired"]:
+            counts["vacuous"] += 1
+        else:
+            counts[verdict] += 1
+    return counts
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--schedules", type=int, default=24,
@@ -163,15 +185,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
     records, failures = run_soak(schedules, args.seed, args.smoke)
 
-    verdicts = [record["verdict"] for record in records]
     summary = {
         "seed": args.seed,
         "smoke": args.smoke,
         "schedules": schedules,
         "scenarios": sorted({r["scenario"] for r in records}),
-        "surfaced": verdicts.count("surfaced"),
-        "tolerated": verdicts.count("tolerated"),
-        "violations": verdicts.count("violation"),
+        **verdict_counts(records),
         "failures": failures,
     }
     if args.json is not None:
@@ -186,6 +205,7 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"chaos soak: {schedules} schedules, "
           f"{summary['surfaced']} surfaced, "
           f"{summary['tolerated']} tolerated, "
+          f"{summary['vacuous']} vacuous, "
           f"{summary['violations']} violations")
     if failures:
         for failure in failures:
